@@ -259,7 +259,7 @@ pub struct RpcConnView {
 /// Point-in-time state of one graph-service server for `/debug/rpc`.
 #[derive(Clone, Debug, Default)]
 pub struct RpcSnapshot {
-    /// Serving core in use: `"epoll"`, `"scan"`, or `"threaded"`.
+    /// Poller backend of the event loop: `"epoll"` or `"scan"`.
     pub backend: String,
     /// Connections accepted since bind.
     pub accepted: u64,

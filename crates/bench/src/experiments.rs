@@ -937,21 +937,23 @@ pub fn fleet_report() {
     println!("  wrote BENCH_7.json (speedup_3v1 = {speedup_3v1:.2}x)");
 }
 
-/// Serving-core report: connection-churn throughput of the thread-per-
-/// connection backend vs the readiness-driven event loop at 64 / 512 /
-/// 2048 concurrent connections, plus a 10k-accept endurance phase.
+/// Serving-core report: connection-churn throughput of the event-loop
+/// server at 64 / 512 / 2048 concurrent connections, plus a 10k-accept
+/// endurance phase.
 ///
 /// Each driver session is the life of one short-lived client: connect,
-/// pipeline a burst of v2-framed sample requests, drain the replies, and
-/// close. The threaded backend pays a thread spawn + teardown per
-/// session and schedules one blocked thread per open socket; the event
-/// loop serves the same churn from a single poller thread.
+/// pipeline a burst of sample requests, drain the replies, and close. The
+/// three cells are interleaved over nine repeats so drift hits them
+/// evenly; BENCH_8.json records each cell's median rate (with quartiles)
+/// and its scaling against the 64-connection median (`scale_512`,
+/// `scale_2048`), which verify.sh gates at >= 0.9 — holding 32x the
+/// connections may cost at most 10% throughput.
 pub fn rpc_report() {
     use platod2gl::{Cluster, ClusterConfig, Edge, SampleRequest, VertexId};
     use platod2gl_rpc::codec::{
         encode_frame_v2, encode_sample_batch, read_frame_ex, FrameKind, SampleBatch,
     };
-    use platod2gl_rpc::{Backend, GraphServiceServer, ServerConfig};
+    use platod2gl_rpc::{GraphServiceServer, ServerConfig};
     use std::io::Write;
     use std::net::{SocketAddr, TcpStream};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -960,15 +962,17 @@ pub fn rpc_report() {
     const DRIVERS: usize = 8;
     const PIPELINE: usize = 8;
     const CONN_GRID: [usize; 3] = [64, 512, 2048];
+    const REPEATS: usize = 9;
     const VERTICES: u64 = 256;
     const ACCEPT_TOTAL: usize = 10_000;
     const ACCEPT_WAVE: usize = 500;
 
-    println!("\n=== Serving core: connection churn, threaded vs event loop (reqs/s) ===");
+    println!("\n=== Serving core: connection churn on the event loop (reqs/s) ===");
     println!(
-        "  {DRIVERS} drivers; session = connect + pipeline {PIPELINE} v2 sample frames + drain + close"
+        "  {DRIVERS} drivers; session = connect + pipeline {PIPELINE} sample frames + drain + close; \
+         median of {REPEATS} interleaved repeats"
     );
-    header(&["backend", "64 conns", "512 conns", "2048 conns"]);
+    header(&["", "64 conns", "512 conns", "2048 conns"]);
 
     let cluster = Arc::new(Cluster::new(
         ClusterConfig::builder()
@@ -992,10 +996,12 @@ pub fn rpc_report() {
     // connections. The flood-connect warm-up is paced by a probe round
     // trip per socket (serial per driver, so pending accepts stay under
     // the listener backlog) and is NOT timed; the timed phase serves
-    // `ROUNDS` pipelined bursts per slot and closes + reconnects the slot
-    // between rounds — the thread-per-connection backend pays a thread
-    // spawn and teardown per reconnect, the event loop only an accept.
-    const ROUNDS: usize = 2;
+    // pipelined bursts round-robin over the slots and closes + reconnects
+    // a slot between its bursts, so every reconnect costs the server an
+    // accept. Every cell serves the same `CELL_REQUESTS` (two rounds of
+    // the 2048-connection cell), so the small cells are timed over as
+    // much work as the large one instead of a few milliseconds.
+    const CELL_REQUESTS: usize = 2 * 2048 * PIPELINE;
     let connect_probed = |addr: SocketAddr| -> TcpStream {
         let mut s = TcpStream::connect(addr).expect("connect");
         s.set_nodelay(true).expect("nodelay");
@@ -1015,10 +1021,11 @@ pub fn rpc_report() {
                 let done = Arc::clone(&done);
                 std::thread::spawn(move || {
                     let sessions = conns / DRIVERS;
+                    let rounds = CELL_REQUESTS / (conns * PIPELINE);
                     let mut socks: Vec<TcpStream> =
                         (0..sessions).map(|_| connect_probed(addr)).collect();
                     connected.wait();
-                    for round in 0..ROUNDS {
+                    for round in 0..rounds {
                         for (i, sock) in socks.iter_mut().enumerate() {
                             for req in 0..PIPELINE {
                                 let frame = encode_frame_v2(
@@ -1032,7 +1039,7 @@ pub fn rpc_report() {
                                 let (header, _) = read_frame_ex(sock).expect("reply");
                                 assert_eq!(header.kind, FrameKind::SampleReply);
                             }
-                            if round + 1 < ROUNDS {
+                            if round + 1 < rounds {
                                 // Churn the slot: close and redial.
                                 let fresh = TcpStream::connect(addr).expect("reconnect");
                                 fresh.set_nodelay(true).expect("nodelay");
@@ -1051,40 +1058,9 @@ pub fn rpc_report() {
         for h in handles {
             h.join().expect("driver clean");
         }
-        (conns * PIPELINE * ROUNDS) as f64 / elapsed
+        CELL_REQUESTS as f64 / elapsed
     };
 
-    let mut rates = std::collections::HashMap::new();
-    for backend in [Backend::Threaded, Backend::EventLoop] {
-        let name = match backend {
-            Backend::Threaded => "threaded",
-            Backend::EventLoop => "event-loop",
-        };
-        let server = GraphServiceServer::bind_with(
-            "127.0.0.1:0",
-            Arc::clone(&cluster),
-            ServerConfig::builder()
-                .backend(backend)
-                .max_connections(4096)
-                .build()
-                .expect("valid config"),
-        )
-        .expect("bind");
-        let addr = server.local_addr();
-        // Warm-up: fault in lazy paths on both sides.
-        churn(addr, DRIVERS);
-        let mut cells = Vec::new();
-        for conns in CONN_GRID {
-            let reqs_per_s = churn(addr, conns);
-            rates.insert((name, conns), reqs_per_s);
-            cells.push(format!("{reqs_per_s:.0}"));
-        }
-        row(name, &cells);
-        server.shutdown();
-    }
-
-    // Endurance: 10k accepts against the event loop, in bounded waves so
-    // client-side ephemeral ports stay within ulimit.
     let server = GraphServiceServer::bind_with(
         "127.0.0.1:0",
         Arc::clone(&cluster),
@@ -1095,6 +1071,32 @@ pub fn rpc_report() {
     )
     .expect("bind");
     let addr = server.local_addr();
+    // Warm-up: fault in lazy paths on both sides.
+    churn(addr, DRIVERS);
+    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(REPEATS); CONN_GRID.len()];
+    // Each repeat runs every cell once, starting one cell later than the
+    // repeat before, so no cell always runs first or last.
+    for repeat in 0..REPEATS {
+        for k in 0..CONN_GRID.len() {
+            let cell = (repeat + k) % CONN_GRID.len();
+            samples[cell].push(churn(addr, CONN_GRID[cell]));
+        }
+    }
+    for rates in &mut samples {
+        rates.sort_by(f64::total_cmp);
+    }
+    let quantile = |cell: usize, q: usize| samples[cell][(REPEATS - 1) * q / 4];
+    let medians: Vec<f64> = (0..CONN_GRID.len()).map(|cell| quantile(cell, 2)).collect();
+    row(
+        "median",
+        &medians
+            .iter()
+            .map(|r| format!("{r:.0}"))
+            .collect::<Vec<_>>(),
+    );
+
+    // Endurance: 10k accepts, in bounded waves so client-side ephemeral
+    // ports stay within ulimit.
     let accept_errors = Arc::new(AtomicU64::new(0));
     let mut accepted = 0usize;
     while accepted < ACCEPT_TOTAL {
@@ -1134,32 +1136,34 @@ pub fn rpc_report() {
     server.shutdown();
     println!("  {accepted} accepts, {accept_errors} errors");
 
-    let speedup =
-        |conns: usize| rates[&("event-loop", conns)] / rates[&("threaded", conns)].max(1e-9);
-    let (s64, s512, s2048) = (speedup(64), speedup(512), speedup(2048));
-    println!("  event loop vs threaded: {s64:.2}x @64, {s512:.2}x @512, {s2048:.2}x @2048 conns");
+    let scale = |cell: usize| medians[cell] / medians[0].max(1e-9);
+    let (s512, s2048) = (scale(1), scale(2));
+    println!("  scaling vs 64 conns: {s512:.2}x @512, {s2048:.2}x @2048 conns (gate: >= 0.9)");
 
-    let mut json_rows = Vec::new();
-    for name in ["threaded", "event-loop"] {
-        for conns in CONN_GRID {
-            json_rows.push(format!(
-                "{{\"backend\":\"{name}\",\"conns\":{conns},\"reqs_per_s\":{:.0}}}",
-                rates[&(name, conns)]
-            ));
-        }
-    }
+    let json_rows: Vec<String> = CONN_GRID
+        .iter()
+        .enumerate()
+        .map(|(cell, conns)| {
+            format!(
+                "{{\"conns\":{conns},\"reqs_per_s\":{:.0},\"q1\":{:.0},\"q3\":{:.0}}}",
+                medians[cell],
+                quantile(cell, 1),
+                quantile(cell, 3)
+            )
+        })
+        .collect();
     let json = format!(
         "{{\"bench\":\"rpc_serving\",\"pipeline\":{PIPELINE},\"drivers\":{DRIVERS},\
-         \"speedup_64\":{s64:.3},\"speedup_512\":{s512:.3},\"speedup_2048\":{s2048:.3},\
+         \"repeats\":{REPEATS},\"scale_512\":{s512:.3},\"scale_2048\":{s2048:.3},\
          \"accepts\":{accepted},\"accept_errors\":{accept_errors},\"rows\":[{}]}}\n",
         json_rows.join(",")
     );
     std::fs::write("BENCH_8.json", &json).expect("write BENCH_8.json");
-    println!("  wrote BENCH_8.json (speedup_512 = {s512:.2}x)");
+    println!("  wrote BENCH_8.json (scale_512 = {s512:.2}x, scale_2048 = {s2048:.2}x)");
 }
 
 /// Tracing-overhead gate: the same pipelined sampling workload served by
-/// the event-loop backend twice — once with untraced batches (no trace
+/// the event-loop server twice — once with untraced batches (no trace
 /// context on the wire, so the server opens no per-request spans) and
 /// once with every batch carrying a trace context (the server opens a
 /// remote-parented root span per batch and records it into the export

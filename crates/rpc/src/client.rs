@@ -54,7 +54,7 @@ use crate::codec::{
     encode_sample_batch, encode_span_export, encode_tail_fetch, encode_txn_apply,
     encode_update_batch, error_code, frame_len, migrate_action, parse_frame, read_frame_ex,
     take_timing_echo, write_frame_v2, FrameError, FrameKind, MapReply, PartitionFetch, SampleBatch,
-    TxnApply, TxnReply, UpdateBatch, PROTOCOL_V2,
+    TxnApply, TxnReply, UpdateBatch,
 };
 use platod2gl_graph::{Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp};
 use platod2gl_obs::{
@@ -293,7 +293,7 @@ struct ClientMetrics {
     reconnects: Arc<Counter>,
     pool_evictions: Arc<Counter>,
     rtt: Arc<Histogram>,
-    /// Server-reported queue + service time from the v2 reply timing
+    /// Server-reported queue + service time from the reply timing
     /// echo. `rtt_ns - server_time_ns` for the same request is the
     /// network + client-side share of the round trip, so a slow batch can
     /// be attributed without a server-side lookup.
@@ -714,8 +714,7 @@ impl RemoteCluster {
         let started = Instant::now();
         let rx = channel.submit(req_id, kind, payload, self.cfg.max_in_flight)?;
         let (kind, mut payload) = self.mux_await(&channel, req_id, &rx)?;
-        // Mux channels are always v2, so every reply carries the echo.
-        let echo = take_timing_echo(PROTOCOL_V2, &mut payload)?;
+        let echo = take_timing_echo(&mut payload)?;
         self.m.rtt.record(started.elapsed());
         self.m.server_time.record(echo.server_time());
         Ok((kind, payload))
@@ -735,15 +734,15 @@ impl RemoteCluster {
                 write_frame_v2(stream, kind, req_id, payload)?;
                 stream.flush()?;
                 let (header, mut reply) = read_frame_ex(stream)?;
-                // A v2 server echoes the id; a mismatch means the stream
+                // The server echoes the id; a mismatch means the stream
                 // carries someone else's reply and cannot be trusted.
-                if header.version == PROTOCOL_V2 && header.req_id != req_id {
+                if header.req_id != req_id {
                     return Err(FrameError::UnexpectedReply {
                         expected: "matching correlation id",
                         got: header.kind,
                     });
                 }
-                let echo = take_timing_echo(header.version, &mut reply)?;
+                let echo = take_timing_echo(&mut reply)?;
                 self.m.server_time.record(echo.server_time());
                 Ok((header.kind, reply))
             }),
@@ -839,7 +838,7 @@ impl RemoteCluster {
                     HashMap::with_capacity(chunks.len());
                 for _ in chunks {
                     let (header, mut payload) = read_frame_ex(stream)?;
-                    let echo = take_timing_echo(header.version, &mut payload)?;
+                    let echo = take_timing_echo(&mut payload)?;
                     self.m.server_time.record(echo.server_time());
                     by_id.insert(header.req_id, (header.kind, payload));
                 }
@@ -893,7 +892,7 @@ impl RemoteCluster {
         let mut by_id: HashMap<u64, (FrameKind, Vec<u8>)> = HashMap::with_capacity(waiters.len());
         for (req_id, rx) in &waiters {
             let (kind, mut payload) = self.mux_await(&channel, *req_id, rx)?;
-            let echo = take_timing_echo(PROTOCOL_V2, &mut payload)?;
+            let echo = take_timing_echo(&mut payload)?;
             self.m.server_time.record(echo.server_time());
             by_id.insert(*req_id, (kind, payload));
         }

@@ -1,16 +1,10 @@
 //! The frame layer of the graph-service protocol.
 //!
-//! Every message on the wire is one *frame*. The current (v2) layout is:
+//! Every message on the wire is one *frame*, in the one protocol version
+//! ([`PROTOCOL_V2`]):
 //!
 //! ```text
 //! | len u32 LE | version u8 | kind u8 | req_id u64 LE | payload ... | crc32c u32 LE |
-//! ```
-//!
-//! and the legacy (v1) layout, still accepted from old clients, omits the
-//! `req_id`:
-//!
-//! ```text
-//! | len u32 LE | version u8 | kind u8 | payload ... | crc32c u32 LE |
 //! ```
 //!
 //! `len` counts everything after itself (header + payload + CRC), so a
@@ -18,17 +12,16 @@
 //! frame. The CRC32C trailer (same polynomial and implementation as the
 //! WAL, [`platod2gl_storage::crc32c`]) covers everything between `len`
 //! and the trailer; a frame whose trailer disagrees is rejected before
-//! any payload decode runs. The version byte is checked next and selects
-//! the header layout.
+//! any payload decode runs. The version byte is checked next: any value
+//! but [`PROTOCOL_V2`] is [`FrameError::BadVersion`], which a server
+//! answers with an error reply before closing the connection.
 //!
-//! ## Request correlation (v2)
+//! ## Request correlation
 //!
 //! `req_id` is an opaque correlation id: a server echoes the request's id
 //! into the reply frame, which is what lets the event-loop server answer
 //! **out of order** and lets a multiplexing client pipeline many in-flight
-//! requests over one socket, re-stitching replies by id. v1 frames carry
-//! no id, so v1 connections are answered strictly in order (the PR-5
-//! contract old clients were built against).
+//! requests over one socket, re-stitching replies by id.
 //!
 //! Defensive bounds: `len` is validated against [`MAX_FRAME_BYTES`]
 //! *before* the body buffer is allocated, and every collection count
@@ -55,16 +48,9 @@ use platod2gl_storage::crc32c::crc32c;
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// The legacy protocol version: in-order replies, no request id.
-pub const PROTOCOL_V1: u8 = 1;
-
-/// The current protocol version: `req_id`-correlated, replies may arrive
-/// out of order.
+/// The protocol version: `req_id`-correlated, replies may arrive out of
+/// order. Every frame is stamped with it, and readers accept no other.
 pub const PROTOCOL_V2: u8 = 2;
-
-/// Protocol version stamped into frames by default ([`PROTOCOL_V2`]).
-/// Readers accept both [`PROTOCOL_V1`] and [`PROTOCOL_V2`].
-pub const PROTOCOL_VERSION: u8 = PROTOCOL_V2;
 
 /// Upper bound on a whole frame. A length prefix exceeding this is
 /// rejected before any allocation — the cap bounds a malicious or corrupt
@@ -72,12 +58,14 @@ pub const PROTOCOL_VERSION: u8 = PROTOCOL_V2;
 /// frame (a ~64k-op update batch is under 2 MiB).
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
-/// Everything after the length prefix that is not payload in a v1 frame:
-/// version byte, kind byte, CRC trailer.
-const V1_NON_PAYLOAD_BYTES: usize = 6;
+/// The shortest body whose CRC and version byte can be judged: version
+/// byte plus CRC trailer. A shorter length prefix is rejected outright; a
+/// body between this and [`V2_NON_PAYLOAD_BYTES`] still gets its version
+/// checked, so a peer speaking another version is told so.
+const MIN_BODY_BYTES: usize = 5;
 
-/// Everything after the length prefix that is not payload in a v2 frame:
-/// version byte, kind byte, req_id, CRC trailer.
+/// Everything after the length prefix that is not payload: version byte,
+/// kind byte, req_id, CRC trailer.
 const V2_NON_PAYLOAD_BYTES: usize = 14;
 
 /// Message kinds. Requests have odd tags, their replies the next even tag.
@@ -132,7 +120,7 @@ pub enum FrameKind {
     ReplicaTxn = 0x11,
     /// Mover → leader: export one partition chunk (resumable cursor).
     PartitionFetch = 0x13,
-    /// Leader → mover: a snapshot-v2 chunk of the partition.
+    /// Leader → mover: a snapshot-v3 chunk of the partition.
     PartitionChunkReply = 0x14,
     /// Mover → leader: arm (begin) or disarm (end) the live-migration
     /// journal for one partition.
@@ -206,7 +194,7 @@ pub enum FrameError {
     /// Transport failure (includes timeouts and mid-frame EOF).
     Io(io::Error),
     /// The length prefix exceeds [`MAX_FRAME_BYTES`] (or is shorter than
-    /// the mandatory version/kind/CRC bytes).
+    /// the mandatory version/kind/req_id/CRC bytes).
     BadLength { len: u32 },
     /// The CRC trailer disagrees with the frame contents.
     BadCrc { expected: u32, actual: u32 },
@@ -266,18 +254,15 @@ impl From<WireError> for FrameError {
     }
 }
 
-/// The decoded header of one frame: which protocol version the peer
-/// spoke, the message kind, and (v2) the correlation id. v1 frames carry
-/// no id; their header reports `req_id: 0`.
+/// The decoded header of one frame: protocol version, message kind and
+/// correlation id.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// [`PROTOCOL_V1`] or [`PROTOCOL_V2`]. A server mirrors the request's
-    /// version into the reply so old clients never see a v2 frame.
+    /// Always [`PROTOCOL_V2`] on a parsed frame.
     pub version: u8,
     /// The message kind.
     pub kind: FrameKind,
-    /// Correlation id (v2 only; `0` on v1 frames). Replies echo the
-    /// request's id.
+    /// Correlation id. Replies echo the request's id.
     pub req_id: u64,
 }
 
@@ -295,36 +280,17 @@ pub fn encode_frame_v2(kind: FrameKind, req_id: u64, payload: &[u8]) -> Vec<u8> 
     out
 }
 
-/// Encode one legacy v1 frame (no request id). Kept for old-client compat
-/// tests and for servers answering v1 peers.
-pub fn encode_frame_v1(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    let len = payload.len() + V1_NON_PAYLOAD_BYTES;
-    let mut out = Vec::with_capacity(4 + len);
-    wire::put_u32(&mut out, len as u32);
-    out.push(PROTOCOL_V1);
-    out.push(kind as u8);
-    out.extend_from_slice(payload);
-    let crc = crc32c(&out[4..]);
-    wire::put_u32(&mut out, crc);
-    out
-}
-
-/// Encode one frame at the default version with correlation id 0 — the
-/// convenience for strictly request/reply flows that never have more than
-/// one frame in flight per stream.
+/// Encode one frame with correlation id 0 — the convenience for strictly
+/// request/reply flows that never have more than one frame in flight per
+/// stream.
 pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
     encode_frame_v2(kind, 0, payload)
 }
 
-/// Encode a reply frame matching a request's header: same version, same
-/// correlation id. This is the one servers must use — an old (v1) client
-/// must never see a v2 frame.
+/// Encode a reply frame matching a request's header: the request's
+/// correlation id echoed back.
 pub fn encode_reply_frame(req: &FrameHeader, kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    if req.version == PROTOCOL_V1 {
-        encode_frame_v1(kind, payload)
-    } else {
-        encode_frame_v2(kind, req.req_id, payload)
-    }
+    encode_frame_v2(kind, req.req_id, payload)
 }
 
 /// Write one frame (single `write_all`, so a frame is never interleaved
@@ -345,7 +311,7 @@ pub fn write_frame_v2(
 
 /// Validate a length prefix against the frame bounds.
 fn check_len(len: u32) -> Result<(), FrameError> {
-    if (len as usize) < V1_NON_PAYLOAD_BYTES || len as usize > MAX_FRAME_BYTES {
+    if (len as usize) < MIN_BODY_BYTES || len as usize > MAX_FRAME_BYTES {
         return Err(FrameError::BadLength { len });
     }
     Ok(())
@@ -361,35 +327,22 @@ fn parse_body(body: &[u8], len: u32) -> Result<(FrameHeader, std::ops::Range<usi
     if expected != actual {
         return Err(FrameError::BadCrc { expected, actual });
     }
-    match body[0] {
-        PROTOCOL_V1 => {
-            let kind = FrameKind::from_tag(body[1])?;
-            Ok((
-                FrameHeader {
-                    version: PROTOCOL_V1,
-                    kind,
-                    req_id: 0,
-                },
-                2..crc_off,
-            ))
-        }
-        PROTOCOL_V2 => {
-            if (len as usize) < V2_NON_PAYLOAD_BYTES {
-                return Err(FrameError::BadLength { len });
-            }
-            let kind = FrameKind::from_tag(body[1])?;
-            let req_id = u64::from_le_bytes(body[2..10].try_into().unwrap());
-            Ok((
-                FrameHeader {
-                    version: PROTOCOL_V2,
-                    kind,
-                    req_id,
-                },
-                10..crc_off,
-            ))
-        }
-        v => Err(FrameError::BadVersion(v)),
+    if body[0] != PROTOCOL_V2 {
+        return Err(FrameError::BadVersion(body[0]));
     }
+    if (len as usize) < V2_NON_PAYLOAD_BYTES {
+        return Err(FrameError::BadLength { len });
+    }
+    let kind = FrameKind::from_tag(body[1])?;
+    let req_id = u64::from_le_bytes(body[2..10].try_into().unwrap());
+    Ok((
+        FrameHeader {
+            version: PROTOCOL_V2,
+            kind,
+            req_id,
+        },
+        10..crc_off,
+    ))
 }
 
 /// Peek at a buffered byte stream: how long is the frame at its head?
@@ -973,7 +926,7 @@ pub fn decode_partition_fetch(payload: &[u8]) -> Result<PartitionFetch, WireErro
     })
 }
 
-/// A [`FrameKind::PartitionChunkReply`] payload: one snapshot-v2 chunk of
+/// A [`FrameKind::PartitionChunkReply`] payload: one snapshot-v3 chunk of
 /// a migrating partition (mirrors
 /// [`platod2gl_server::PartitionChunk`](platod2gl_server::PartitionChunk)).
 #[derive(Clone, Debug, PartialEq)]
@@ -984,7 +937,7 @@ pub struct PartitionChunkReply {
     pub cursor: Option<(u64, u16)>,
     /// Edges inside the chunk.
     pub edges: u64,
-    /// Snapshot-v2 bytes (per-block CRC; decode with
+    /// Snapshot-v3 bytes (per-block CRC; decode with
     /// [`platod2gl_storage::read_snapshot`](platod2gl_storage::read_snapshot)).
     pub snapshot: Vec<u8>,
 }
@@ -1197,13 +1150,12 @@ pub fn decode_error_reply(payload: &[u8]) -> Result<ErrorReply, WireError> {
     })
 }
 
-/// The server-side timing breakdown every v2 reply carries as a fixed
+/// The server-side timing breakdown every reply carries as a fixed
 /// 8-byte trailer ([`wire::REPLY_TIMING_ECHO_BYTES`]) between payload and
 /// CRC: how long the request waited before a handler picked it up and how
 /// long the handler spent serving it, both in microseconds (saturating).
 /// Clients subtract `queue_us + service_us` from observed round-trip time
-/// to attribute latency to the network vs. the server. Legacy v1 replies
-/// never carry the trailer — old clients see byte-identical frames.
+/// to attribute latency to the network vs. the server.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TimingEcho {
     /// Microseconds between frame arrival and handler start.
@@ -1220,20 +1172,15 @@ impl TimingEcho {
 }
 
 /// Append the timing-echo trailer to a reply payload. Servers call this on
-/// every v2 reply — including error replies — immediately before framing.
+/// every reply — including error replies — immediately before framing.
 pub fn append_timing_echo(payload: &mut Vec<u8>, queue_us: u32, service_us: u32) {
     wire::put_u32(payload, queue_us);
     wire::put_u32(payload, service_us);
 }
 
 /// Strip the timing-echo trailer off a reply payload, in place, and decode
-/// it. `version` is the reply frame's header version: v1 replies carry no
-/// echo (zeros, payload untouched); a v2 reply shorter than the trailer is
-/// truncated.
-pub fn take_timing_echo(version: u8, payload: &mut Vec<u8>) -> Result<TimingEcho, FrameError> {
-    if version == PROTOCOL_V1 {
-        return Ok(TimingEcho::default());
-    }
+/// it. A reply shorter than the trailer is truncated.
+pub fn take_timing_echo(payload: &mut Vec<u8>) -> Result<TimingEcho, FrameError> {
     let echo_at = payload
         .len()
         .checked_sub(wire::REPLY_TIMING_ECHO_BYTES as usize)
@@ -1574,8 +1521,8 @@ mod tests {
             bare.len() + wire::REPLY_TIMING_ECHO_BYTES as usize
         );
 
-        // v2: the trailer comes back off and the remainder decodes clean.
-        let echo = take_timing_echo(PROTOCOL_V2, &mut payload).expect("echo");
+        // The trailer comes back off and the remainder decodes clean.
+        let echo = take_timing_echo(&mut payload).expect("echo");
         assert_eq!(
             echo,
             TimingEcho {
@@ -1586,16 +1533,10 @@ mod tests {
         assert_eq!(echo.server_time(), std::time::Duration::from_micros(2_150));
         assert_eq!(payload, bare);
 
-        // v1: no trailer on the wire, zeros reported, payload untouched.
-        let mut v1_payload = bare.clone();
-        let echo = take_timing_echo(PROTOCOL_V1, &mut v1_payload).expect("v1");
-        assert_eq!(echo, TimingEcho::default());
-        assert_eq!(v1_payload, bare);
-
-        // A v2 reply too short for the trailer is truncated, not a panic.
+        // A reply too short for the trailer is truncated, not a panic.
         let mut tiny = vec![1u8, 2, 3];
         assert!(matches!(
-            take_timing_echo(PROTOCOL_V2, &mut tiny),
+            take_timing_echo(&mut tiny),
             Err(FrameError::Wire(WireError::Truncated))
         ));
     }
@@ -1744,15 +1685,17 @@ mod tests {
 
     #[test]
     fn wrong_version_and_unknown_kind_are_rejected() {
-        let mut frame = encode_frame(FrameKind::HealReply, &encode_heal_reply(1));
-        frame[4] = 9; // version byte
-        let crc = crc32c(&frame[4..frame.len() - 4]);
-        let at = frame.len() - 4;
-        frame[at..].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            read_frame(&mut frame.as_slice()),
-            Err(FrameError::BadVersion(9))
-        ));
+        for version in [1u8, 9] {
+            let mut frame = encode_frame(FrameKind::HealReply, &encode_heal_reply(1));
+            frame[4] = version; // version byte
+            let crc = crc32c(&frame[4..frame.len() - 4]);
+            let at = frame.len() - 4;
+            frame[at..].copy_from_slice(&crc.to_le_bytes());
+            assert!(matches!(
+                read_frame(&mut frame.as_slice()),
+                Err(FrameError::BadVersion(v)) if v == version
+            ));
+        }
 
         let mut frame = encode_frame(FrameKind::HealReply, &encode_heal_reply(1));
         frame[5] = 0x44; // kind byte
@@ -1767,7 +1710,7 @@ mod tests {
 
     #[test]
     fn both_versions_decode_and_reply_frames_mirror_the_request() {
-        // v2 round-trip keeps the correlation id.
+        // The round-trip keeps the correlation id.
         let v2 = encode_frame_v2(FrameKind::HealthProbe, 0xfeed_beef_cafe_0001, b"pp");
         let (header, payload) = read_frame_ex(&mut v2.as_slice()).expect("v2");
         assert_eq!(header.version, PROTOCOL_V2);
@@ -1775,20 +1718,7 @@ mod tests {
         assert_eq!(header.req_id, 0xfeed_beef_cafe_0001);
         assert_eq!(payload, b"pp");
 
-        // v1 round-trip reports id 0.
-        let v1 = encode_frame_v1(FrameKind::HealthProbe, b"qq");
-        let (header, payload) = read_frame_ex(&mut v1.as_slice()).expect("v1");
-        assert_eq!(header.version, PROTOCOL_V1);
-        assert_eq!(header.req_id, 0);
-        assert_eq!(payload, b"qq");
-        assert_eq!(v2.len(), v1.len() + 8, "v2 header adds exactly req_id");
-
-        // A reply to a v1 request is a v1 frame; to a v2 request, a v2
-        // frame under the same id.
-        let (req_v1, _) = read_frame_ex(&mut v1.as_slice()).expect("v1");
-        let reply = encode_reply_frame(&req_v1, FrameKind::HealthReply, b"r");
-        let (h, _) = read_frame_ex(&mut reply.as_slice()).expect("reply");
-        assert_eq!(h.version, PROTOCOL_V1);
+        // A reply is a frame under the request's id.
         let (req_v2, _) = read_frame_ex(&mut v2.as_slice()).expect("v2");
         let reply = encode_reply_frame(&req_v2, FrameKind::HealthReply, b"r");
         let (h, _) = read_frame_ex(&mut reply.as_slice()).expect("reply");
@@ -1797,18 +1727,13 @@ mod tests {
 
     #[test]
     fn zero_copy_parse_agrees_with_the_streaming_reader() {
-        for frame in [
-            encode_frame_v2(FrameKind::HealReply, 42, &encode_heal_reply(7)),
-            encode_frame_v1(FrameKind::HealReply, &encode_heal_reply(7)),
-        ] {
-            let total = frame_len(&frame).expect("len").expect("complete");
-            assert_eq!(total, frame.len());
-            let (header, payload) = parse_frame(&frame).expect("parse");
-            let (stream_header, stream_payload) =
-                read_frame_ex(&mut frame.as_slice()).expect("read");
-            assert_eq!(header, stream_header);
-            assert_eq!(payload, stream_payload.as_slice());
-        }
+        let frame = encode_frame_v2(FrameKind::HealReply, 42, &encode_heal_reply(7));
+        let total = frame_len(&frame).expect("len").expect("complete");
+        assert_eq!(total, frame.len());
+        let (header, payload) = parse_frame(&frame).expect("parse");
+        let (stream_header, stream_payload) = read_frame_ex(&mut frame.as_slice()).expect("read");
+        assert_eq!(header, stream_header);
+        assert_eq!(payload, stream_payload.as_slice());
         // An incomplete prefix is "not yet", not an error.
         assert!(matches!(frame_len(&[1, 2]), Ok(None)));
         // A forged prefix is rejected at peek time, before any buffering.
@@ -1822,8 +1747,8 @@ mod tests {
 
     #[test]
     fn v2_frame_too_short_for_its_header_is_rejected() {
-        // len = 8 can hold a v1 header but not a v2 one; forge a frame
-        // claiming version 2 at that length with a valid CRC.
+        // len = 8 holds version, kind and CRC but not the req_id; forge a
+        // frame claiming version 2 at that length with a valid CRC.
         let mut body = vec![PROTOCOL_V2, FrameKind::HealthProbe as u8, 0, 0];
         let crc = crc32c(&body);
         wire::put_u32(&mut body, crc);

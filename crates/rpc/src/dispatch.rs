@@ -1,15 +1,14 @@
-//! Backend-agnostic request dispatch.
+//! Socket-free request dispatch.
 //!
-//! Both server backends — the legacy thread-per-connection loop and the
-//! readiness-driven event loop — funnel every decoded frame through
-//! [`dispatch`]: one CRC-valid `(kind, payload)` in, one encoded reply
-//! `(kind, payload)` out. Nothing in here touches a socket, which is the
-//! point: the [`GraphService`] surface no longer assumes one blocking
-//! reply per read. A backend may answer inline (threaded, event loop with
-//! `workers = 0`) or hand frames to a worker pool and write completions
-//! out of order under their request ids (event loop with `workers > 0`).
+//! The event loop funnels every decoded frame through [`dispatch`]: one
+//! CRC-valid `(kind, payload)` in, one encoded reply `(kind, payload)`
+//! out. Nothing in here touches a socket, which is the point: the
+//! [`GraphService`] surface does not assume one blocking reply per read.
+//! The loop may answer inline (`workers = 0`) or hand frames to a worker
+//! pool and write completions out of order under their request ids
+//! (`workers > 0`).
 //!
-//! Telemetry flows through the *service's* registry, exactly as before:
+//! Telemetry flows through the *service's* registry:
 //! `rpc.server.*` counters, the request-latency histogram, and slow
 //! update batches recorded with the client's trace id so `GET /debug/slow`
 //! works across the wire.

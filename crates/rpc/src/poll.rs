@@ -1,7 +1,7 @@
 //! Readiness polling for the event-loop server.
 //!
 //! [`Poller`] is a minimal readiness-notification abstraction over two
-//! backends:
+//! backends, chosen by the platform alone:
 //!
 //! * **epoll** (Linux): level-triggered `epoll_create1`/`epoll_ctl`/
 //!   `epoll_wait` via direct FFI — the workspace builds with no external
@@ -12,7 +12,8 @@
 //!   a short tick and reports *every* registered token as ready; the
 //!   event loop's non-blocking reads/writes then no-op on `WouldBlock`.
 //!   Correct everywhere `TcpStream::set_nonblocking` works, at O(n) scan
-//!   cost per tick — the documented price of the fallback.
+//!   cost per tick — the documented price of the fallback. Linux builds
+//!   compile it only for tests, which drive it directly.
 //!
 //! Tokens are caller-chosen `u64`s (the event loop uses slab indices).
 //! Registration is level-triggered: a readable event repeats until the
@@ -24,17 +25,6 @@ use std::io;
 #[cfg(target_os = "linux")]
 use std::os::fd::RawFd;
 use std::time::Duration;
-
-/// Which backend [`Poller::new`] should build.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PollerKind {
-    /// epoll where the platform has it, scan elsewhere.
-    #[default]
-    Auto,
-    /// Force the portable scanning fallback (used by tests to cover the
-    /// non-epoll path on any host).
-    Scan,
-}
 
 /// One readiness event: the registered token plus edge directions.
 #[derive(Clone, Copy, Debug)]
@@ -57,6 +47,7 @@ pub struct Waker {
 }
 
 impl Waker {
+    #[cfg(any(test, not(target_os = "linux")))]
     fn noop() -> Self {
         Self { tx: None }
     }
@@ -78,24 +69,20 @@ pub enum Poller {
     #[cfg(target_os = "linux")]
     Epoll(EpollPoller),
     /// Portable scanning fallback.
+    #[cfg(any(test, not(target_os = "linux")))]
     Scan(ScanPoller),
 }
 
 impl Poller {
-    /// Build a poller of the requested kind.
-    pub fn new(kind: PollerKind) -> io::Result<Self> {
-        match kind {
-            PollerKind::Scan => Ok(Poller::Scan(ScanPoller::default())),
-            PollerKind::Auto => {
-                #[cfg(target_os = "linux")]
-                {
-                    Ok(Poller::Epoll(EpollPoller::new()?))
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    Ok(Poller::Scan(ScanPoller::default()))
-                }
-            }
+    /// Build the platform's poller: epoll on Linux, scan elsewhere.
+    pub fn new() -> io::Result<Self> {
+        #[cfg(target_os = "linux")]
+        {
+            Ok(Poller::Epoll(EpollPoller::new()?))
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            Ok(Poller::Scan(ScanPoller::default()))
         }
     }
 
@@ -104,6 +91,7 @@ impl Poller {
         match self {
             #[cfg(target_os = "linux")]
             Poller::Epoll(_) => "epoll",
+            #[cfg(any(test, not(target_os = "linux")))]
             Poller::Scan(_) => "scan",
         }
     }
@@ -114,6 +102,7 @@ impl Poller {
         match self {
             #[cfg(target_os = "linux")]
             Poller::Epoll(p) => p.waker(),
+            #[cfg(any(test, not(target_os = "linux")))]
             Poller::Scan(_) => Waker::noop(),
         }
     }
@@ -129,6 +118,7 @@ impl Poller {
         match self {
             #[cfg(target_os = "linux")]
             Poller::Epoll(p) => p.ctl(sys::EPOLL_CTL_ADD, source.raw_fd(), token, writable),
+            #[cfg(any(test, not(target_os = "linux")))]
             Poller::Scan(p) => {
                 p.tokens.push(token);
                 Ok(())
@@ -146,6 +136,7 @@ impl Poller {
         match self {
             #[cfg(target_os = "linux")]
             Poller::Epoll(p) => p.ctl(sys::EPOLL_CTL_MOD, source.raw_fd(), token, writable),
+            #[cfg(any(test, not(target_os = "linux")))]
             Poller::Scan(_) => Ok(()),
         }
     }
@@ -156,6 +147,7 @@ impl Poller {
         match self {
             #[cfg(target_os = "linux")]
             Poller::Epoll(p) => p.ctl(sys::EPOLL_CTL_DEL, source.raw_fd(), token, false),
+            #[cfg(any(test, not(target_os = "linux")))]
             Poller::Scan(p) => {
                 p.tokens.retain(|&t| t != token);
                 Ok(())
@@ -171,6 +163,7 @@ impl Poller {
         match self {
             #[cfg(target_os = "linux")]
             Poller::Epoll(p) => p.wait(events, timeout),
+            #[cfg(any(test, not(target_os = "linux")))]
             Poller::Scan(p) => {
                 // No readiness source: tick, then report everything ready
                 // and let non-blocking I/O sort out reality.
@@ -205,11 +198,13 @@ impl<T: std::os::fd::AsRawFd> PollSource for T {
 impl<T> PollSource for T {}
 
 /// The portable fallback: a plain token list (see module docs).
+#[cfg(any(test, not(target_os = "linux")))]
 #[derive(Default)]
 pub struct ScanPoller {
     tokens: Vec<u64>,
 }
 
+#[cfg(any(test, not(target_os = "linux")))]
 impl ScanPoller {
     /// Scan tick: latency ceiling and CPU floor of the fallback.
     const TICK: Duration = Duration::from_millis(2);
@@ -383,8 +378,8 @@ mod tests {
     /// bytes, and the epoll waker must interrupt a long wait.
     #[test]
     fn pollers_report_readable_sockets() {
-        for kind in [PollerKind::Auto, PollerKind::Scan] {
-            let mut poller = Poller::new(kind).expect("poller");
+        let platform = Poller::new().expect("poller");
+        for mut poller in [platform, Poller::Scan(ScanPoller::default())] {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("c");
             let (server, _) = listener.accept().expect("accept");
@@ -407,7 +402,7 @@ mod tests {
                     break false;
                 }
             };
-            assert!(seen, "backend {:?} missed readability", kind);
+            assert!(seen, "backend {} missed readability", poller.backend_name());
             poller.deregister(&server, 7).expect("deregister");
         }
     }
@@ -415,7 +410,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn waker_interrupts_an_idle_wait() {
-        let mut poller = Poller::new(PollerKind::Auto).expect("poller");
+        let mut poller = Poller::new().expect("poller");
         assert_eq!(poller.backend_name(), "epoll");
         let waker = poller.waker();
         let handle = std::thread::spawn(move || {

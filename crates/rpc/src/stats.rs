@@ -1,13 +1,14 @@
 //! Live connection-table bookkeeping for `/debug/rpc`.
 //!
-//! Both server backends maintain one [`RpcServerStats`]: connections
-//! register on accept and deregister on close, per-connection counters
-//! are plain atomics touched on the hot path without locks. The admin
-//! plane reads a point-in-time snapshot through the
-//! [`RpcIntrospect`](platod2gl_admin::RpcIntrospect) trait, which
+//! The event loop maintains one [`RpcServerStats`] per server:
+//! connections register on accept and deregister on close,
+//! per-connection counters are plain atomics touched on the hot path
+//! without locks. The admin plane reads a point-in-time snapshot through
+//! the [`RpcIntrospect`](platod2gl_admin::RpcIntrospect) trait, which
 //! [`ServerIntrospect`] implements — wire a server into an
 //! `AdminServer::bind_with_rpc` and `GET /debug/rpc` serves the table.
 
+use crate::codec::PROTOCOL_V2;
 use platod2gl_admin::{RpcConnView, RpcIntrospect, RpcSnapshot};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -18,7 +19,7 @@ use std::time::Instant;
 pub(crate) struct ConnInfo {
     pub peer: String,
     pub opened: Instant,
-    /// 0 until the first good frame names the protocol version.
+    /// 0 until the first frame is served, then [`PROTOCOL_V2`].
     pub protocol: AtomicU8,
     pub frames: AtomicU64,
     pub in_flight: AtomicU64,
@@ -35,10 +36,9 @@ impl ConnInfo {
         })
     }
 
-    /// Record one served frame under `version`, retiring its in-flight
-    /// slot.
-    pub fn served(&self, version: u8) {
-        self.protocol.store(version, Ordering::Relaxed);
+    /// Record one served frame.
+    pub fn served(&self) {
+        self.protocol.store(PROTOCOL_V2, Ordering::Relaxed);
         self.frames.fetch_add(1, Ordering::Relaxed);
     }
 }

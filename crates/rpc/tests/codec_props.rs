@@ -10,11 +10,11 @@ use platod2gl_obs::TraceContext;
 use platod2gl_rpc::codec::{
     append_timing_echo, decode_error_reply, decode_heal_reply, decode_heal_request,
     decode_health_reply, decode_sample_batch, decode_sample_reply, decode_update_batch,
-    decode_update_reply, encode_error_reply, encode_frame, encode_frame_v1, encode_frame_v2,
-    encode_heal_reply, encode_heal_request, encode_health_reply, encode_reply_frame,
-    encode_sample_batch, encode_sample_reply, encode_update_batch, encode_update_reply, frame_len,
-    parse_frame, read_frame, read_frame_ex, take_timing_echo, ErrorReply, FrameHeader, FrameKind,
-    HealthReply, SampleBatch, UpdateBatch, UpdateReply, MAX_FRAME_BYTES, PROTOCOL_V1, PROTOCOL_V2,
+    decode_update_reply, encode_error_reply, encode_frame, encode_frame_v2, encode_heal_reply,
+    encode_heal_request, encode_health_reply, encode_reply_frame, encode_sample_batch,
+    encode_sample_reply, encode_update_batch, encode_update_reply, frame_len, parse_frame,
+    read_frame, read_frame_ex, take_timing_echo, ErrorReply, FrameHeader, FrameKind, HealthReply,
+    SampleBatch, UpdateBatch, UpdateReply, MAX_FRAME_BYTES, PROTOCOL_V2,
 };
 use platod2gl_server::wire;
 use platod2gl_server::{DegradedPolicy, SampleRequest, SampleResponse, SlotSource};
@@ -227,7 +227,7 @@ proptest! {
             wire::sample_response_frame_bytes(responses.iter().map(|r| r.neighbors.len()))
         );
         let mut body = frame_roundtrip(FrameKind::SampleReply, &payload);
-        let echo = take_timing_echo(PROTOCOL_V2, &mut body).expect("echo");
+        let echo = take_timing_echo(&mut body).expect("echo");
         prop_assert_eq!((echo.queue_us, echo.service_us), (queue_us, service_us));
         let back = decode_sample_reply(&body).expect("decode");
         prop_assert_eq!(back, responses);
@@ -255,7 +255,7 @@ proptest! {
         let framed = encode_frame(FrameKind::UpdateReply, &payload);
         prop_assert_eq!(framed.len() as u64, wire::UPDATE_REPLY_FRAME_BYTES);
         let mut body = frame_roundtrip(FrameKind::UpdateReply, &payload);
-        take_timing_echo(PROTOCOL_V2, &mut body).expect("echo");
+        take_timing_echo(&mut body).expect("echo");
         prop_assert_eq!(decode_update_reply(&body).expect("decode"), reply);
     }
 
@@ -370,29 +370,17 @@ proptest! {
         prop_assert_eq!(body, payload);
     }
 
-    /// v1 frames (no id on the wire) parse to `req_id == 0` and are still
-    /// fully accepted by the same reader — old clients keep working.
-    #[test]
-    fn v1_frames_still_parse_with_zero_req_id(payload in vec(any::<u8>(), 0..256)) {
-        let framed = encode_frame_v1(FrameKind::UpdateBatch, &payload);
-        let (header, body) = read_frame_ex(&mut framed.as_slice()).expect("valid v1 frame");
-        prop_assert_eq!(header.version, PROTOCOL_V1);
-        prop_assert_eq!(header.req_id, 0);
-        prop_assert_eq!(body, payload);
-    }
-
-    /// `encode_reply_frame` mirrors the request's version AND id: a v1
-    /// request gets a v1 reply, a v2 request gets its own id echoed back.
+    /// `encode_reply_frame` mirrors the request's version AND id: a
+    /// request gets its own id echoed back.
     #[test]
     fn reply_frames_mirror_request_version_and_id(
-        v2 in any::<bool>(),
         req_id in any::<u64>(),
         payload in vec(any::<u8>(), 0..128),
     ) {
         let req = FrameHeader {
-            version: if v2 { PROTOCOL_V2 } else { PROTOCOL_V1 },
+            version: PROTOCOL_V2,
             kind: FrameKind::SampleBatch,
-            req_id: if v2 { req_id } else { 0 },
+            req_id,
         };
         let framed = encode_reply_frame(&req, FrameKind::SampleReply, &payload);
         let (header, body) = read_frame_ex(&mut framed.as_slice()).expect("valid reply");
@@ -402,21 +390,16 @@ proptest! {
         prop_assert_eq!(body, payload);
     }
 
-    /// The `frame_len` peek agrees with the encoded length for both
-    /// versions, reports `None` on every strict prefix, and `parse_frame`
-    /// on the exact slice matches the stream reader byte for byte.
+    /// The `frame_len` peek agrees with the encoded length, reports `None`
+    /// on every strict prefix, and `parse_frame` on the exact slice
+    /// matches the stream reader byte for byte.
     #[test]
     fn frame_len_peek_agrees_with_parse(
-        v2 in any::<bool>(),
         req_id in any::<u64>(),
         payload in vec(any::<u8>(), 0..200),
         cut_seed in any::<u64>(),
     ) {
-        let framed = if v2 {
-            encode_frame_v2(FrameKind::HealthProbe, req_id, &payload)
-        } else {
-            encode_frame_v1(FrameKind::HealthProbe, &payload)
-        };
+        let framed = encode_frame_v2(FrameKind::HealthProbe, req_id, &payload);
         prop_assert_eq!(frame_len(&framed).expect("peek"), Some(framed.len()));
         let cut = (cut_seed as usize) % framed.len();
         // A prefix either cannot name its length yet (under 4 bytes) or
@@ -433,7 +416,7 @@ proptest! {
     }
 
     /// Bit-flips anywhere past the length prefix of a v2 frame are caught
-    /// (CRC, version, or kind check) exactly as for v1.
+    /// (CRC, version, or kind check).
     #[test]
     fn corrupted_v2_frames_are_rejected(
         req_id in any::<u64>(),

@@ -414,7 +414,7 @@ pub fn partition_for(v: VertexId, num_partitions: u32) -> u32 {
 /// [`Cluster::export_partition`] and shipped over the rpc layer's
 /// `PartitionFetch` frames during live migration.
 ///
-/// `snapshot` is **snapshot v2 bytes** ([`platod2gl_storage::write_snapshot`]):
+/// `snapshot` is **snapshot v3 bytes** ([`platod2gl_storage::write_snapshot`]):
 /// the same per-block CRC'd format checkpoints use, so the receiver
 /// validates each chunk with the proven decoder. `cursor` is the
 /// `(src, etype)` key of the last entry included; passing it back fetches
@@ -424,7 +424,7 @@ pub fn partition_for(v: VertexId, num_partitions: u32) -> u32 {
 /// covered by the migration tail journal either way).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PartitionChunk {
-    /// Snapshot-v2 encoded adjacency entries of this chunk.
+    /// Snapshot-v3 encoded adjacency entries of this chunk.
     pub snapshot: Vec<u8>,
     /// Resume key: the last `(src, etype)` included, if any entry was.
     pub cursor: Option<(u64, u16)>,
@@ -1329,7 +1329,7 @@ impl Cluster {
         }
     }
 
-    /// Export one partition's adjacency as a bounded snapshot-v2 chunk
+    /// Export one partition's adjacency as a bounded snapshot-v3 chunk
     /// (see [`PartitionChunk`]). Entries are keyed `(src, etype)` and
     /// returned in key order starting strictly after `cursor`, so the
     /// mover streams the partition in stable, resumable chunks while the

@@ -811,7 +811,7 @@ pub struct RecoveryReport {
 ///
 /// On-disk layout inside the directory passed to [`DurableGraphStore::open`]:
 ///
-/// * `snapshot.bin` — latest checkpoint (snapshot format v2, see
+/// * `snapshot.bin` — latest checkpoint (snapshot format v3, see
 ///   [`crate::snapshot`]); absent until the first checkpoint.
 /// * `wal.log` — updates since that checkpoint.
 /// * `snapshot.tmp` — in-flight checkpoint; never read, replaced by rename.

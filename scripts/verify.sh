@@ -108,17 +108,19 @@ if ! awk -v s="$speedup" 'BEGIN { exit !(s >= 1.5) }'; then
     exit 1
 fi
 
-echo "==> serving-core trail (report_rpc -> BENCH_8.json, event loop >= 2x threaded @512 conns)"
+echo "==> serving-core trail (report_rpc -> BENCH_8.json, churn @512 and @2048 conns >= 0.9x @64)"
 cargo run -p platod2gl-bench --release --bin report_rpc
 if ! grep -qF '"bench":"rpc_serving"' BENCH_8.json; then
     echo "verify: FAIL — BENCH_8.json missing or malformed"
     exit 1
 fi
-speedup512=$(sed -n 's/.*"speedup_512":\([0-9.]*\).*/\1/p' BENCH_8.json)
-if ! awk -v s="$speedup512" 'BEGIN { exit !(s >= 2.0) }'; then
-    echo "verify: FAIL — event loop speedup_512 = $speedup512 < 2.0 over threaded"
-    exit 1
-fi
+for cell in 512 2048; do
+    scale=$(sed -n "s/.*\"scale_$cell\":\([0-9.]*\).*/\1/p" BENCH_8.json)
+    if ! awk -v s="$scale" 'BEGIN { exit !(s >= 0.9) }'; then
+        echo "verify: FAIL — event loop scale_$cell = $scale < 0.9 of its 64-conn median"
+        exit 1
+    fi
+done
 accept_errors=$(sed -n 's/.*"accept_errors":\([0-9]*\).*/\1/p' BENCH_8.json)
 if [ "$accept_errors" != "0" ]; then
     echo "verify: FAIL — $accept_errors errors across 10k accepts"

@@ -1,28 +1,26 @@
-//! Soak and compatibility tests for the event-loop serving core.
+//! Soak and protocol-version tests for the event-loop serving core.
 //!
 //! The soak drives one event-loop server (dispatch workers on, so
 //! completions genuinely race) from over a thousand concurrently open
-//! connections, each pipelining a randomized interleaving of protocol-v1
-//! and protocol-v2 frames. Every request targets a vertex whose single
-//! out-edge encodes the request's identity, so each reply proves by its
-//! payload which request it answers: a lost, misrouted, or (for v1)
-//! reordered reply cannot go unnoticed.
+//! connections, each pipelining a randomized interleaving of frames.
+//! Every request targets a vertex whose single out-edge encodes the
+//! request's identity, so each reply proves by its payload which request
+//! it answers: a lost or misrouted reply cannot go unnoticed.
 //!
-//! The compat test speaks pure v1 — the PR-5 wire format, no `req_id` —
-//! at a default-configured new server and checks the old contract
-//! verbatim: replies come back in v1 framing, strictly in request order,
-//! even when the server dispatches on a worker pool that finishes them
-//! out of order.
+//! The version test sends a frame of another protocol version and checks
+//! that the server answers it with an error reply, closes only that
+//! connection, and keeps serving the others.
 
 use platod2gl::{Cluster, ClusterConfig, Edge, EdgeType, GraphStore, SampleRequest, VertexId};
 use platod2gl_rpc::codec::{
-    decode_sample_reply, encode_frame_v1, encode_frame_v2, encode_sample_batch, read_frame_ex,
-    take_timing_echo, FrameKind, SampleBatch, PROTOCOL_V1, PROTOCOL_V2,
+    decode_error_reply, decode_sample_reply, encode_frame_v2, encode_sample_batch, error_code,
+    read_frame_ex, take_timing_echo, FrameKind, SampleBatch, TimingEcho, PROTOCOL_V2,
 };
 use platod2gl_rpc::{GraphServiceServer, ServerConfig};
+use platod2gl_storage::crc32c::crc32c;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -91,9 +89,9 @@ fn connect(addr: SocketAddr) -> TcpStream {
     stream
 }
 
-/// Over a thousand concurrently open connections, mixed v1/v2 framing,
-/// randomized write interleavings, dispatch workers racing completions:
-/// no reply is lost, misrouted, or — within a v1 stream — reordered.
+/// Over a thousand concurrently open connections, randomized write
+/// interleavings, dispatch workers racing completions: no reply is lost
+/// or misrouted.
 #[test]
 fn soak_thousand_connections_mixed_protocols() {
     let cluster = soak_cluster();
@@ -120,19 +118,15 @@ fn soak_thousand_connections_mixed_protocols() {
             let may_close = Arc::clone(&may_close);
             std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xA5A5 + driver as u64);
-                // Even conns speak v1, odd conns speak v2. Each connection
-                // round-trips a health probe immediately: the reply proves
-                // the server *accepted* it (a TCP handshake alone only
-                // proves the kernel queued it), and the serial probes pace
-                // the thousand-connection flood below the listener backlog.
+                // Each connection round-trips a health probe immediately:
+                // the reply proves the server *accepted* it (a TCP
+                // handshake alone only proves the kernel queued it), and
+                // the serial probes pace the thousand-connection flood
+                // below the listener backlog.
                 let mut conns: Vec<TcpStream> = (0..CONNS_PER_DRIVER)
-                    .map(|conn| {
+                    .map(|_| {
                         let mut stream = connect(addr);
-                        let frame = if conn.is_multiple_of(2) {
-                            encode_frame_v1(FrameKind::HealthProbe, &[])
-                        } else {
-                            encode_frame_v2(FrameKind::HealthProbe, 7, &[])
-                        };
+                        let frame = encode_frame_v2(FrameKind::HealthProbe, 7, &[]);
                         stream.write_all(&frame).expect("probe");
                         let (header, _) = read_frame_ex(&mut stream).expect("probe reply");
                         assert_eq!(header.kind, FrameKind::HealthReply);
@@ -151,13 +145,9 @@ fn soak_thousand_connections_mixed_protocols() {
                     let seq = next_seq[conn];
                     let v = request_vertex(driver, conn, seq);
                     let payload = sample_payload(v);
-                    let frame = if conn.is_multiple_of(2) {
-                        encode_frame_v1(FrameKind::SampleBatch, &payload)
-                    } else {
-                        // v2 correlation ids are arbitrary; encode the
-                        // request identity so the reply check is direct.
-                        encode_frame_v2(FrameKind::SampleBatch, v.raw(), &payload)
-                    };
+                    // Correlation ids are arbitrary; encode the request
+                    // identity so the reply check is direct.
+                    let frame = encode_frame_v2(FrameKind::SampleBatch, v.raw(), &payload);
                     conns[conn].write_all(&frame).expect("send");
                     next_seq[conn] += 1;
                     if next_seq[conn] == REQUESTS_PER_CONN {
@@ -171,36 +161,23 @@ fn soak_thousand_connections_mixed_protocols() {
                     order.swap(i, rng.random_range(0..=i));
                 }
                 for conn in order {
-                    if conn.is_multiple_of(2) {
-                        // v1: no ids on the wire — replies must arrive in
-                        // exactly the order the requests were written.
-                        for seq in 0..REQUESTS_PER_CONN {
-                            let (header, payload) =
-                                read_frame_ex(&mut conns[conn]).expect("v1 reply");
-                            assert_eq!(header.version, PROTOCOL_V1, "v1 in, v1 out");
-                            assert_eq!(header.req_id, 0);
-                            let v = request_vertex(driver, conn, seq);
-                            assert_answers(&payload, v, "v1 in-order");
-                        }
-                    } else {
-                        // v2: replies may arrive in any order; the ids must
-                        // cover every request exactly once and each payload
-                        // must match its id.
-                        let mut seen = [false; REQUESTS_PER_CONN];
-                        for _ in 0..REQUESTS_PER_CONN {
-                            let (header, mut payload) =
-                                read_frame_ex(&mut conns[conn]).expect("v2 reply");
-                            assert_eq!(header.version, PROTOCOL_V2, "v2 in, v2 out");
-                            // v2 replies carry the server timing echo.
-                            take_timing_echo(header.version, &mut payload).expect("echo");
-                            let v = VertexId(header.req_id);
-                            let seq = (v.raw() & 0xFFFF) as usize;
-                            assert!(seq < REQUESTS_PER_CONN, "id names a real request");
-                            assert_eq!(v, request_vertex(driver, conn, seq), "id routes home");
-                            assert!(!seen[seq], "no duplicated replies");
-                            seen[seq] = true;
-                            assert_answers(&payload, v, "v2 correlated");
-                        }
+                    // Replies may arrive in any order; the ids must cover
+                    // every request exactly once and each payload must
+                    // match its id.
+                    let mut seen = [false; REQUESTS_PER_CONN];
+                    for _ in 0..REQUESTS_PER_CONN {
+                        let (header, mut payload) =
+                            read_frame_ex(&mut conns[conn]).expect("v2 reply");
+                        assert_eq!(header.version, PROTOCOL_V2, "v2 in, v2 out");
+                        // Replies carry the server timing echo.
+                        take_timing_echo(&mut payload).expect("echo");
+                        let v = VertexId(header.req_id);
+                        let seq = (v.raw() & 0xFFFF) as usize;
+                        assert!(seq < REQUESTS_PER_CONN, "id names a real request");
+                        assert_eq!(v, request_vertex(driver, conn, seq), "id routes home");
+                        assert!(!seen[seq], "no duplicated replies");
+                        seen[seq] = true;
+                        assert_answers(&payload, v, "v2 correlated");
                     }
                 }
                 may_close.wait();
@@ -237,15 +214,14 @@ fn soak_thousand_connections_mixed_protocols() {
     server.shutdown();
 }
 
-/// An old (v1, pre-req-id) client against a new default server: the full
-/// exchange works, replies are v1-framed, and a pipelined burst comes
-/// back strictly in request order even though the server's worker pool
-/// finishes dispatches out of order.
+/// A frame of another protocol version — here a hand-built version-1
+/// health probe, which has no `req_id` — is answered with a
+/// `BAD_REQUEST` error reply naming the version, and that connection
+/// closes. A connection opened before it is still served, and the
+/// server counts exactly one error.
 #[test]
-fn old_v1_client_interops_with_new_server() {
+fn other_protocol_versions_get_an_error_reply_then_close() {
     let cluster = soak_cluster();
-    // Worker pool on: out-of-order completion is exactly what the v1
-    // hold-back must mask.
     let server = GraphServiceServer::bind_with(
         "127.0.0.1:0",
         Arc::clone(&cluster),
@@ -255,30 +231,53 @@ fn old_v1_client_interops_with_new_server() {
             .expect("valid config"),
     )
     .expect("bind");
-    let mut stream = connect(server.local_addr());
+    let probe = |stream: &mut TcpStream, what: &str| {
+        let frame = encode_frame_v2(FrameKind::HealthProbe, 11, &[]);
+        stream.write_all(&frame).expect("send probe");
+        let (header, _) = read_frame_ex(stream).expect("probe reply");
+        assert_eq!(header.kind, FrameKind::HealthReply, "{what}");
+        assert_eq!(header.req_id, 11, "{what}");
+    };
+    let mut served = connect(server.local_addr());
+    probe(&mut served, "v2 connection before the v1 frame");
 
-    // Pipeline a burst of v1 frames, then read: order must be preserved.
-    for seq in 0..REQUESTS_PER_CONN {
-        let v = request_vertex(0, 0, seq);
-        let frame = encode_frame_v1(FrameKind::SampleBatch, &sample_payload(v));
-        stream.write_all(&frame).expect("send");
-    }
-    for seq in 0..REQUESTS_PER_CONN {
-        let (header, payload) = read_frame_ex(&mut stream).expect("reply");
-        assert_eq!(
-            header.version, PROTOCOL_V1,
-            "a v1 request gets a v1 reply — old decoders keep working"
-        );
-        assert_eq!(header.req_id, 0, "v1 has no correlation id");
-        assert_answers(&payload, request_vertex(0, 0, seq), "v1 compat");
-    }
+    // | len u32 | version u8 = 1 | kind u8 | crc32c u32 |
+    let body = [1u8, FrameKind::HealthProbe as u8];
+    let mut frame = ((body.len() + 4) as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&body);
+    frame.extend_from_slice(&crc32c(&body).to_le_bytes());
+    let mut rejected = connect(server.local_addr());
+    rejected.write_all(&frame).expect("send v1 probe");
 
-    // A v1 health probe still round-trips on the same connection.
-    let frame = encode_frame_v1(FrameKind::HealthProbe, &[]);
-    stream.write_all(&frame).expect("send probe");
-    let (header, _) = read_frame_ex(&mut stream).expect("health reply");
-    assert_eq!(header.version, PROTOCOL_V1);
-    assert_eq!(header.kind, FrameKind::HealthReply);
+    let (header, mut payload) = read_frame_ex(&mut rejected).expect("error reply");
+    assert_eq!(header.version, PROTOCOL_V2, "the error reply is a v2 frame");
+    assert_eq!(header.kind, FrameKind::ErrorReply);
+    assert_eq!(header.req_id, 0);
+    let echo = take_timing_echo(&mut payload).expect("echo");
+    assert_eq!(
+        echo,
+        TimingEcho::default(),
+        "error replies echo zero timing"
+    );
+    let reply = decode_error_reply(&payload).expect("error payload");
+    assert_eq!(reply.code, error_code::BAD_REQUEST);
+    assert!(
+        reply.message.contains("unsupported protocol version 1"),
+        "{}",
+        reply.message
+    );
+    let mut rest = [0u8; 1];
+    assert_eq!(
+        rejected.read(&mut rest).expect("clean close"),
+        0,
+        "the server closes the connection after the error reply"
+    );
 
+    probe(&mut served, "v2 connection after the v1 frame");
+    assert_eq!(
+        cluster.obs().snapshot().counter("rpc.server.errors"),
+        Some(1),
+        "exactly the one bad frame counts as an error"
+    );
     server.shutdown();
 }
